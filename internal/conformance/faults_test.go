@@ -1,6 +1,8 @@
 package conformance
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -134,6 +136,64 @@ func TestPeakInFlightReportedOnEveryEngine(t *testing.T) {
 			}
 			if r.Metrics.PeakInFlight == 0 {
 				t.Errorf("%s: PeakInFlight == 0 where sequential reports %d", eng.Name(), seq.Metrics.PeakInFlight)
+			}
+		})
+	}
+}
+
+// TestAlphabetReportedOnEveryEngine: alphabet and first-symbol tracking are
+// honored by every engine. Treecast on a grounded tree sends the same
+// message on each edge under every schedule, so |Sigma_G|, the per-symbol
+// counts and the first symbol of every edge must match the sequential
+// engine's exactly — on the tcp tier too, whose sends cross real sockets.
+func TestAlphabetReportedOnEveryEngine(t *testing.T) {
+	g := graph.KaryGroundedTree(2, 2)
+	opts := sim.Options{TrackAlphabet: true, TrackFirstSymbol: true}
+	proto := func() *core.TreeBroadcast { return core.NewTreeBroadcast([]byte("m"), core.RulePow2) }
+	seq, err := sim.Sequential().Run(g, proto(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Metrics.AlphabetSize() == 0 || len(seq.Metrics.FirstSymbol) == 0 {
+		t.Fatal("sequential engine reports an empty alphabet — the cross-engine assertion below is vacuous")
+	}
+	for _, eng := range faultEngines(t) {
+		t.Run(eng.Name(), func(t *testing.T) {
+			r, err := eng.Run(g, proto(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r.Metrics.Alphabet, seq.Metrics.Alphabet) {
+				t.Errorf("%s: alphabet %v (|Sigma_G| = %d), sequential %v (|Sigma_G| = %d)", eng.Name(),
+					r.Metrics.Alphabet, r.Metrics.AlphabetSize(), seq.Metrics.Alphabet, seq.Metrics.AlphabetSize())
+			}
+			if !reflect.DeepEqual(r.Metrics.FirstSymbol, seq.Metrics.FirstSymbol) {
+				t.Errorf("%s: %d first symbols, sequential %d", eng.Name(),
+					len(r.Metrics.FirstSymbol), len(seq.Metrics.FirstSymbol))
+			}
+		})
+	}
+}
+
+// TestStepLimitOnEveryEngine: Options.MaxSteps bounds every engine. A ring
+// under generalcast needs more deliveries than the budget here, so each
+// engine — the tcp tier included — must stop with ErrStepLimit instead of
+// running to its verdict.
+func TestStepLimitOnEveryEngine(t *testing.T) {
+	g := graph.Ring(5)
+	full, err := sim.Sequential().Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 3
+	if full.Steps <= limit {
+		t.Fatalf("unbounded run takes %d steps, not more than the limit %d — the test is vacuous", full.Steps, limit)
+	}
+	for _, eng := range faultEngines(t) {
+		t.Run(eng.Name(), func(t *testing.T) {
+			_, err := eng.Run(g, core.NewGeneralBroadcast([]byte("m")), sim.Options{MaxSteps: limit})
+			if !errors.Is(err, sim.ErrStepLimit) {
+				t.Errorf("%s: err = %v, want ErrStepLimit", eng.Name(), err)
 			}
 		})
 	}

@@ -28,7 +28,6 @@ package netrun
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -39,115 +38,48 @@ import (
 	"repro/internal/sim"
 )
 
-// shardFrame is one delivered message in sharded mode: the edge it arrived
-// on names the head vertex and its in-port.
-type shardFrame struct {
-	edge graph.EdgeID
-	msg  protocol.Message
-}
-
 // shardHdrLen is the muxed frame header: edge ID, then payload bit length.
 const shardHdrLen = 8
 
+// shardRunner is the sharded wiring: a worker and a listener per partition
+// shard, one muxed connection per ordered shard pair with cut traffic
+// (conns[src][dst]; after injection only shard src's worker writes to it),
+// and the inbox of shard s fed by its reader goroutines and by its own
+// worker's in-shard sends. Under chaos the logical channel is the ordered
+// shard pair: senders[src][dst] owns its stream, recv[dst][src] its
+// receiving side.
 type shardRunner struct {
-	runCore
-
-	g     *graph.G
-	p     protocol.Protocol
-	part  *graph.Partition
-	codec protocol.Codec
-	nodes []protocol.Node
-	term  protocol.Terminal
-
-	// listeners[s] accepts shard s's incoming shard-pair connections (nil
-	// when no cut edge points into s).
-	listeners []net.Listener
-	// conns[src][dst] is the single muxed connection carrying every src->dst
-	// cut edge (nil when the pair has none). After injection, only shard
-	// src's worker writes to it.
-	conns [][]net.Conn
+	sockets
+	part *graph.Partition
 	// need[src][dst] records which ordered shard pairs exchange traffic; it
 	// doubles as handshake validation on accept.
 	need [][]bool
-	// inboxes[s] is shard s's MPSC delivery queue, fed by the shard's reader
-	// goroutines and by its own worker's in-shard sends.
-	inboxes []*mpsc[shardFrame]
-
-	// Chaos mode (nil slices when off): the logical channel is the ordered
-	// shard pair. senders[src][dst] owns the pair's muxed stream with its
-	// frame log and reconnect machinery; recv[dst][src] serializes the
-	// pair's connections and tracks the delivered-frame count.
-	chaos   *Chaos
-	senders [][]*chaosSender
-	recv    [][]*chaosRecv
 }
 
-// runSharded executes p on g in sharded mode. The caller (Run) has already
+// runSharded executes p on g in sharded mode. The caller (run) has already
 // applied option defaults and guaranteed opts.Shards >= 2.
-func runSharded(g *graph.G, p protocol.Protocol, codec protocol.Codec, opts Options) (*sim.Result, error) {
-	nodes, term, err := buildNodes(g, p)
+func runSharded(g *graph.G, p protocol.Protocol, codec protocol.Codec, opts Options, so *sim.Options) (*sim.Result, error) {
+	part := graph.PartitionGraph(g, opts.Shards, opts.Seed)
+	// Telemetry: the kernel's schedule is still wild, but the shard layout
+	// is seeded — report the partition seed and shard count as provenance.
+	w, err := sim.NewWild(g, p, so, "wild-tcp", opts.Seed, part.K)
 	if err != nil {
 		return nil, err
 	}
-	r := &shardRunner{
-		g:     g,
-		p:     p,
-		part:  graph.PartitionGraph(g, opts.Shards, opts.Seed),
-		codec: codec,
-		nodes: nodes,
-		term:  term,
-	}
+	r := &shardRunner{sockets: sockets{w: w, g: g, codec: codec}, part: part}
 	if opts.Chaos.active() {
 		r.chaos = opts.Chaos
 	}
-	if err := r.init(g, opts); err != nil {
-		return nil, err
-	}
-	r.res.Nodes = nodes
-	// Telemetry: the kernel's schedule is still wild, but the shard layout
-	// is seeded — report the partition seed and shard count as provenance.
-	r.telemetry(opts.Obs, p.Name(), opts.Seed, r.part.K)
-
-	setupDone := obsStart(opts.Obs, "setup")
-	if err := r.listen(); err != nil {
-		r.closeAll()
-		return nil, err
-	}
-	if err := r.dial(); err != nil {
-		r.closeAll()
-		return nil, err
-	}
-	// Inject before any worker starts: the injection is then the sole writer
-	// on the root shard's connections, and the workers' single-writer claim
-	// on conns[src] starts clean.
-	if err := r.inject(); err != nil {
-		r.closeAll()
-		return nil, err
-	}
-	for s := 0; s < r.part.K; s++ {
-		r.wg.Add(1)
-		go r.workerLoop(s)
-	}
-	setupDone()
-
-	r.supervise(g, opts, r.closeAll)
-	if r.err != nil {
-		return r.res, r.err
-	}
-	r.res.Verdict = r.verdict
-	if r.verdict == sim.Terminated {
-		r.res.Output = term.Output()
-	}
-	return r.res, nil
+	return serve(r, &r.sockets, part.K, part.Of[g.Root()], opts.Timeout, so.Obs)
 }
 
 // listen builds the shard inboxes, the pair-traffic matrix, and one listener
 // per shard with incoming cut edges.
 func (r *shardRunner) listen() error {
 	k := r.part.K
-	r.inboxes = make([]*mpsc[shardFrame], k)
+	r.inboxes = make([]*sim.Mailbox, k)
 	for s := range r.inboxes {
-		r.inboxes[s] = newMpsc[shardFrame]()
+		r.inboxes[s] = sim.NewMailbox()
 	}
 	r.need = make([][]bool, k)
 	for s := range r.need {
@@ -195,8 +127,7 @@ func (r *shardRunner) dial() error {
 			continue
 		}
 		if r.chaos != nil {
-			r.wg.Add(1)
-			go r.chaosAcceptLoop(dst)
+			r.w.Go(func() { r.chaosAcceptLoop(dst) })
 			continue
 		}
 		expected := 0
@@ -205,8 +136,7 @@ func (r *shardRunner) dial() error {
 				expected++
 			}
 		}
-		r.wg.Add(1)
-		go r.acceptLoop(dst, expected)
+		r.w.Go(func() { r.acceptLoop(dst, expected) })
 	}
 	if r.chaos != nil {
 		return r.dialChaos()
@@ -250,7 +180,7 @@ func (r *shardRunner) dialChaos() error {
 				chaos:   r.chaos,
 				channel: uint64(src)<<32 | uint64(dst),
 				addr:    r.listeners[dst].Addr().String(),
-				stopped: r.stopped,
+				stopped: r.w.Stopped,
 			}
 			binary.BigEndian.PutUint32(s.hello[:], uint32(src))
 			if err := s.connect(); err != nil {
@@ -267,17 +197,15 @@ func (r *shardRunner) dialChaos() error {
 // accept count. Each connection is handled off-loop so one pair's
 // serialization never blocks another pair's reconnect.
 func (r *shardRunner) chaosAcceptLoop(dst int) {
-	defer r.wg.Done()
 	for {
 		conn, err := r.listeners[dst].Accept()
 		if err != nil {
-			if !r.stopped() {
-				r.finish(0, fmt.Errorf("netrun: accept at shard %d: %w", dst, err))
+			if !r.w.Stopped() {
+				r.w.Finish(0, fmt.Errorf("netrun: accept at shard %d: %w", dst, err))
 			}
 			return
 		}
-		r.wg.Add(1)
-		go r.chaosHandle(dst, conn)
+		r.w.Go(func() { r.chaosHandle(dst, conn) })
 	}
 }
 
@@ -285,7 +213,6 @@ func (r *shardRunner) chaosAcceptLoop(dst int) {
 // handshake in, resume count out (serialized per pair), then the counting
 // muxed read loop until the connection dies.
 func (r *shardRunner) chaosHandle(dst int, conn net.Conn) {
-	defer r.wg.Done()
 	defer conn.Close()
 	var hs [4]byte
 	if _, err := io.ReadFull(conn, hs[:]); err != nil {
@@ -293,7 +220,7 @@ func (r *shardRunner) chaosHandle(dst int, conn net.Conn) {
 	}
 	src := int(binary.BigEndian.Uint32(hs[:]))
 	if src < 0 || src >= r.part.K || !r.need[src][dst] {
-		r.finish(0, fmt.Errorf("netrun: shard %d: bad handshake source %d", dst, src))
+		r.w.Finish(0, fmt.Errorf("netrun: shard %d: bad handshake source %d", dst, src))
 		return
 	}
 	rc := r.recv[dst][src]
@@ -312,12 +239,12 @@ func (r *shardRunner) chaosHandle(dst int, conn net.Conn) {
 		eid := graph.EdgeID(binary.BigEndian.Uint32(hdr[:4]))
 		bits := int(binary.BigEndian.Uint32(hdr[4:]))
 		if int(eid) >= r.g.NumEdges() {
-			r.finish(0, fmt.Errorf("netrun: shard %d: frame names edge %d of %d", dst, eid, r.g.NumEdges()))
+			r.w.Finish(0, fmt.Errorf("netrun: shard %d: frame names edge %d of %d", dst, eid, r.g.NumEdges()))
 			return
 		}
 		e := r.g.Edge(eid)
 		if r.part.Of[e.To] != dst || r.part.Of[e.From] == dst {
-			r.finish(0, fmt.Errorf("netrun: shard %d: misrouted frame for edge %d->%d", dst, e.From, e.To))
+			r.w.Finish(0, fmt.Errorf("netrun: shard %d: misrouted frame for edge %d->%d", dst, e.From, e.To))
 			return
 		}
 		buf := make([]byte, (bits+7)/8)
@@ -327,38 +254,36 @@ func (r *shardRunner) chaosHandle(dst int, conn net.Conn) {
 		}
 		msg, err := r.codec.Decode(buf, bits)
 		if err != nil {
-			r.finish(0, fmt.Errorf("netrun: decode at shard %d: %w", dst, err))
+			r.w.Finish(0, fmt.Errorf("netrun: decode at shard %d: %w", dst, err))
 			return
 		}
-		r.inboxes[dst].push(shardFrame{edge: eid, msg: msg})
+		r.inboxes[dst].Push(sim.Flight{Edge: eid, Msg: msg})
 		rc.received++
 	}
 }
 
 func (r *shardRunner) acceptLoop(dst, expected int) {
-	defer r.wg.Done()
 	for i := 0; i < expected; i++ {
 		conn, err := r.listeners[dst].Accept()
 		if err != nil {
-			if !r.stopped() {
-				r.finish(0, fmt.Errorf("netrun: accept at shard %d: %w", dst, err))
+			if !r.w.Stopped() {
+				r.w.Finish(0, fmt.Errorf("netrun: accept at shard %d: %w", dst, err))
 			}
 			return
 		}
 		var hs [4]byte
 		if _, err := io.ReadFull(conn, hs[:]); err != nil {
-			r.finish(0, fmt.Errorf("netrun: handshake read at shard %d: %w", dst, err))
+			r.w.Finish(0, fmt.Errorf("netrun: handshake read at shard %d: %w", dst, err))
 			conn.Close()
 			return
 		}
 		src := int(binary.BigEndian.Uint32(hs[:]))
 		if src < 0 || src >= r.part.K || !r.need[src][dst] {
-			r.finish(0, fmt.Errorf("netrun: shard %d: bad handshake source %d", dst, src))
+			r.w.Finish(0, fmt.Errorf("netrun: shard %d: bad handshake source %d", dst, src))
 			conn.Close()
 			return
 		}
-		r.wg.Add(1)
-		go r.readLoop(dst, conn)
+		r.w.Go(func() { r.readLoop(dst, conn) })
 	}
 }
 
@@ -366,7 +291,6 @@ func (r *shardRunner) acceptLoop(dst, expected int) {
 // destination shard's inbox. Every frame names its edge, so routing needs no
 // per-connection state beyond the destination shard.
 func (r *shardRunner) readLoop(dst int, conn net.Conn) {
-	defer r.wg.Done()
 	defer conn.Close()
 	var hdr [shardHdrLen]byte
 	for {
@@ -378,181 +302,67 @@ func (r *shardRunner) readLoop(dst int, conn net.Conn) {
 		eid := graph.EdgeID(binary.BigEndian.Uint32(hdr[:4]))
 		bits := int(binary.BigEndian.Uint32(hdr[4:]))
 		if int(eid) >= r.g.NumEdges() {
-			r.finish(0, fmt.Errorf("netrun: shard %d: frame names edge %d of %d", dst, eid, r.g.NumEdges()))
+			r.w.Finish(0, fmt.Errorf("netrun: shard %d: frame names edge %d of %d", dst, eid, r.g.NumEdges()))
 			return
 		}
 		e := r.g.Edge(eid)
 		if r.part.Of[e.To] != dst || r.part.Of[e.From] == dst {
-			r.finish(0, fmt.Errorf("netrun: shard %d: misrouted frame for edge %d->%d", dst, e.From, e.To))
+			r.w.Finish(0, fmt.Errorf("netrun: shard %d: misrouted frame for edge %d->%d", dst, e.From, e.To))
 			return
 		}
 		buf := make([]byte, (bits+7)/8)
 		if _, err := io.ReadFull(conn, buf); err != nil {
-			if !r.stopped() {
-				r.finish(0, fmt.Errorf("netrun: short frame at shard %d: %w", dst, err))
+			if !r.w.Stopped() {
+				r.w.Finish(0, fmt.Errorf("netrun: short frame at shard %d: %w", dst, err))
 			}
 			return
 		}
 		msg, err := r.codec.Decode(buf, bits)
 		if err != nil {
-			r.finish(0, fmt.Errorf("netrun: decode at shard %d: %w", dst, err))
+			r.w.Finish(0, fmt.Errorf("netrun: decode at shard %d: %w", dst, err))
 			return
 		}
-		r.inboxes[dst].push(shardFrame{edge: eid, msg: msg})
+		r.inboxes[dst].Push(sim.Flight{Edge: eid, Msg: msg})
 	}
 }
 
-// inject sends sigma0 from the root through its shard's send path.
-func (r *shardRunner) inject() error {
-	inits, err := initialMessages(r.g, r.p)
-	if err != nil {
-		return err
-	}
-	root := r.g.Root()
-	src := r.part.Of[root]
-	for j, m := range inits {
-		if m == nil {
-			continue
-		}
-		if err := r.send(src, r.g.OutEdge(root, j).ID, m); err != nil {
-			return err
-		}
-	}
-	return nil
+func (r *shardRunner) transport(s int) sim.Transport { return &shardWire{r: r, src: s} }
+
+// shardWire is a shard worker's transport in sharded mode: sends whose head
+// the shard owns go straight to its inbox, cut-edge sends become muxed
+// frames on the shard pair's connection.
+type shardWire struct {
+	r     *shardRunner
+	src   int
+	frame []byte
 }
 
-// send encodes and routes one message on eid, whose tail shard src owns:
-// in-shard straight to the local inbox, cross-shard as a muxed frame.
-func (r *shardRunner) send(src int, eid graph.EdgeID, msg protocol.Message) error {
+// Frame implements sim.Wire. Every send is encoded — the codec's length is
+// what the tier meters — but only a cut-edge send is framed for the wire.
+func (t *shardWire) Frame(eid graph.EdgeID, msg protocol.Message) (int, error) {
+	r := t.r
 	data, bits, err := r.codec.Encode(msg)
 	if err != nil {
-		return fmt.Errorf("netrun: encode on edge %d: %w", eid, err)
+		return 0, fmt.Errorf("netrun: encode on edge %d: %w", eid, err)
 	}
-	if err := r.meter(eid, bits); err != nil {
-		return err
+	if r.part.Of[r.g.Edge(eid).To] != t.src {
+		t.frame = make([]byte, shardHdrLen+len(data))
+		binary.BigEndian.PutUint32(t.frame[:4], uint32(eid))
+		binary.BigEndian.PutUint32(t.frame[4:8], uint32(bits))
+		copy(t.frame[shardHdrLen:], data)
 	}
-	if r.obs != nil {
-		// Observe the send before the frame hits the wire: the peer cannot
-		// deliver a message whose send was not yet linearized.
-		r.obs.OnSend(eid, msg)
-	}
-	if r.faults.DropSend(eid) {
-		r.obsSend(true)
-		return nil
-	}
-	r.obsSend(false)
-	r.inFlight.Inc()
+	return bits, nil
+}
 
+// Carry routes one send: in-shard to the local inbox, cross-shard as the
+// muxed frame Frame built.
+func (t *shardWire) Carry(eid graph.EdgeID, msg protocol.Message) bool {
+	r := t.r
 	e := r.g.Edge(eid)
-	dst := r.part.Of[e.To]
-	if dst == src {
-		r.inboxes[src].push(shardFrame{edge: eid, msg: msg})
-		return nil
+	if dst := r.part.Of[e.To]; dst != t.src {
+		r.write(t.src, dst, e, t.frame)
+	} else {
+		r.inboxes[dst].Push(sim.Flight{Edge: eid, Msg: msg})
 	}
-	frame := make([]byte, shardHdrLen+len(data))
-	binary.BigEndian.PutUint32(frame[:4], uint32(eid))
-	binary.BigEndian.PutUint32(frame[4:8], uint32(bits))
-	copy(frame[shardHdrLen:], data)
-	if r.senders != nil {
-		if err := r.senders[src][dst].send(frame); err != nil {
-			if errors.Is(err, errChaosStopped) || r.stopped() {
-				return nil
-			}
-			return fmt.Errorf("netrun: write on edge %d->%d: %w", e.From, e.To, err)
-		}
-		return nil
-	}
-	if _, err := r.conns[src][dst].Write(frame); err != nil {
-		if r.stopped() {
-			return nil
-		}
-		return fmt.Errorf("netrun: write on edge %d->%d: %w", e.From, e.To, err)
-	}
-	return nil
-}
-
-// workerLoop is shard s's single io loop: it delivers every message whose
-// head s owns, in inbox order.
-func (r *shardRunner) workerLoop(s int) {
-	defer r.wg.Done()
-	for {
-		f, ok := r.inboxes[s].pop()
-		if !ok {
-			return
-		}
-		e := r.g.Edge(f.edge)
-		v := e.To
-		r.steps.Add(1)
-		if r.obs != nil {
-			// Observe the delivery before processing it, so the sends it
-			// triggers are linearized after it.
-			r.obs.OnDeliver(0, f.edge, f.msg)
-		}
-		if r.faults.CrashDelivery(v) {
-			// Crash-stopped vertex: consume the frame without processing it.
-			r.obsDeliver(true)
-			r.inFlight.Dec()
-			continue
-		}
-		// Visited and the node state are owner-exclusive: only this worker
-		// delivers to v, so no lock is needed.
-		r.res.Visited[v] = true
-		outs, err := r.nodes[v].Receive(f.msg, e.ToPort)
-		if err != nil {
-			r.finish(0, fmt.Errorf("netrun: vertex %d receive: %w", v, err))
-			r.inFlight.Dec()
-			return
-		}
-		if outs != nil && len(outs) != r.g.OutDegree(v) {
-			r.finish(0, fmt.Errorf("netrun: vertex %d returned %d outputs, out-degree %d", v, len(outs), r.g.OutDegree(v)))
-			r.inFlight.Dec()
-			return
-		}
-		for j, out := range outs {
-			if out == nil {
-				continue
-			}
-			if err := r.send(s, r.g.OutEdge(v, j).ID, out); err != nil {
-				r.finish(0, err)
-				r.inFlight.Dec()
-				return
-			}
-		}
-		r.obsDeliver(false)
-		if v == r.g.Terminal() && r.term.Done() {
-			r.finish(sim.Terminated, nil)
-			r.inFlight.Dec()
-			return
-		}
-		// Decrement after the resulting sends were counted (see sim).
-		r.inFlight.Dec()
-	}
-}
-
-func (r *shardRunner) closeAll() {
-	r.finish(sim.Quiescent, r.err) // no-op if already finished
-	for _, l := range r.listeners {
-		if l != nil {
-			l.Close()
-		}
-	}
-	for _, row := range r.conns {
-		for _, c := range row {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}
-	for _, row := range r.senders {
-		for _, s := range row {
-			if s != nil {
-				s.close()
-			}
-		}
-	}
-	for _, ib := range r.inboxes {
-		if ib != nil {
-			ib.close()
-		}
-	}
+	return true
 }

@@ -10,12 +10,11 @@ import (
 	"repro/internal/sim"
 )
 
-// FaultPlan is the scenario-level fault description, generalizing the
-// engines' DropFirst shorthand: per-edge drop counts, a seeded Bernoulli
-// loss rate, and vertex crash-stops. Compile turns it into the sim layer's
-// deterministic fault mechanism (sim.Faults), so a plan composes with
-// replay, shrinking and the schedule fuzzer: the fate of the k-th message on
-// an edge is fixed regardless of schedule or engine.
+// FaultPlan is the scenario-level fault description: per-edge drop counts, a
+// seeded Bernoulli loss rate, and vertex crash-stops. Compile turns it into
+// the sim layer's deterministic fault mechanism (sim.Faults), so a plan
+// composes with replay, shrinking and the schedule fuzzer: the fate of the
+// k-th message on an edge is fixed regardless of schedule or engine.
 type FaultPlan struct {
 	// DropFirst[e] = k drops the first k messages sent on edge e.
 	DropFirst map[graph.EdgeID]int

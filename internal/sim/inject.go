@@ -10,8 +10,7 @@ import (
 // InitialMessages returns sigma0 per root out-port. Roots with a single
 // out-edge use Protocol.InitialMessage; wider roots (the Section 2
 // extension) need the protocol to implement protocol.MultiInitializer so the
-// unit commodity is split across the ports. Exported for sibling engines
-// (internal/sim/shard) that perform their own injection.
+// unit commodity is split across the ports. Kernel.Inject sends them.
 func InitialMessages(g *graph.G, p protocol.Protocol) ([]protocol.Message, error) {
 	d := g.OutDegree(g.Root())
 	if d == 1 {

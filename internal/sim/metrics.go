@@ -1,19 +1,31 @@
 // Package sim provides independent executions of anonymous protocols on
-// directed anonymous networks, all behind the Engine interface:
+// directed anonymous networks, all behind the Engine interface.
 //
-//   - Run (Sequential): a deterministic, event-driven simulator whose
-//     adversarial delivery order is a pluggable, seeded Scheduler —
-//     asynchrony is modeled as an adversary choosing which in-flight message
-//     is delivered next, with per-edge FIFO links;
-//   - RunConcurrent (Concurrent): a goroutine-per-vertex, mailbox-per-vertex
-//     concurrent runtime where asynchrony comes from the Go scheduler itself;
+// Every engine is a schedule plus a transport around one Kernel. The kernel
+// is the paper's vertex step, written once: it builds the nodes, injects
+// sigma0, and on each delivery checks the fault plan's crash quota, marks
+// the head visited, lets the node Receive, checks the output arity, meters,
+// observes, counts and fault-checks every emission, and tests the terminal's
+// stopping predicate. A schedule only decides which message is delivered
+// next, on which Lane; a Transport carries each send that survived the fault
+// plan toward its head:
+//
+//   - Run (Sequential): a deterministic, event-driven simulator. Its
+//     schedule is one Local — an adversarial, pluggable, seeded Scheduler
+//     picking among pending edges, with per-edge FIFO links — and its
+//     transport is the per-edge queue;
+//   - RunConcurrent (Concurrent): one goroutine and one Mailbox per vertex
+//     under the Wild core; asynchrony comes from the Go scheduler itself;
 //   - RunSynchronous (Synchronous): global rounds, the paper's Section 2
-//     extension, which additionally measures time (Result.Rounds).
+//     extension, which additionally measures time (Result.Rounds); its
+//     transport is the next round's buffer.
 //
-// A fourth engine — real TCP sockets — lives in package netrun and satisfies
-// the same interface. All engines meter communication exactly in bits and
-// agree on verdicts under every schedule; that agreement is asserted by the
-// cross-engine conformance suite in internal/conformance.
+// The sharded engine (package shard) runs one Local per shard with outboxes
+// between them, and the TCP engine (package netrun) puts socket transports
+// under the Wild core; both satisfy the same interface. All engines meter
+// communication exactly in bits and agree on verdicts under every schedule;
+// that agreement is asserted by the cross-engine conformance suite in
+// internal/conformance.
 package sim
 
 import (
@@ -88,7 +100,7 @@ type Metrics struct {
 	// Key() string build per message.
 	interner      *protocol.Interner
 	symCounts     []int
-	firstSym      []uint32 // per-edge symbol+1; 0 = edge carried nothing yet
+	firstKey      []string // per-edge key of the first symbol sent on it
 	trackAlphabet bool
 	trackFirstSym bool
 	curInFlight   int
@@ -129,17 +141,44 @@ func newMetrics(nE int, opts *Options) Metrics {
 		trackAlphabet: opts.TrackAlphabet,
 		trackFirstSym: opts.TrackFirstSymbol,
 	}
-	if m.trackAlphabet || m.trackFirstSym {
-		m.interner = protocol.NewInterner()
-	}
 	if m.trackFirstSym {
-		m.firstSym = make([]uint32, nE)
+		m.firstKey = make([]string, nE)
 	}
 	return m
 }
 
-func (m *Metrics) record(e graph.EdgeID, msg protocol.Message) {
-	bits := msg.Bits()
+// partial returns metrics for one lane of a run that m meters on several
+// lanes: the partial writes m's per-edge slots directly (each edge has one
+// sending lane at a time) and keeps its own totals, interner and in-flight
+// count, which merge folds back into m.
+func (m *Metrics) partial() *Metrics {
+	return &Metrics{
+		PerEdgeBits:   m.PerEdgeBits,
+		PerEdgeMsgs:   m.PerEdgeMsgs,
+		firstKey:      m.firstKey,
+		trackAlphabet: m.trackAlphabet,
+		trackFirstSym: m.trackFirstSym,
+	}
+}
+
+// merge folds a partial's totals and alphabet counts into m. Its per-edge
+// slots are m's own already.
+func (m *Metrics) merge(p *Metrics) {
+	m.Messages += p.Messages
+	m.TotalBits += p.TotalBits
+	if p.MaxMsgBits > m.MaxMsgBits {
+		m.MaxMsgBits = p.MaxMsgBits
+	}
+	if m.trackAlphabet {
+		m.addAlphabet(p)
+	}
+}
+
+// record meters one message by its model length, Message.Bits.
+func (m *Metrics) record(e graph.EdgeID, msg protocol.Message) { m.meter(e, msg, msg.Bits()) }
+
+// meter accounts one message of the given length sent on e.
+func (m *Metrics) meter(e graph.EdgeID, msg protocol.Message, bits int) {
 	m.Messages++
 	m.TotalBits += int64(bits)
 	m.PerEdgeBits[e] += int64(bits)
@@ -147,7 +186,10 @@ func (m *Metrics) record(e graph.EdgeID, msg protocol.Message) {
 	if bits > m.MaxMsgBits {
 		m.MaxMsgBits = bits
 	}
-	if m.interner != nil {
+	if m.trackAlphabet || m.trackFirstSym {
+		if m.interner == nil {
+			m.interner = protocol.NewInterner()
+		}
 		sym := m.interner.Intern(msg)
 		if m.trackAlphabet {
 			if int(sym) == len(m.symCounts) {
@@ -155,8 +197,8 @@ func (m *Metrics) record(e graph.EdgeID, msg protocol.Message) {
 			}
 			m.symCounts[sym]++
 		}
-		if m.trackFirstSym && m.firstSym[e] == 0 {
-			m.firstSym[e] = uint32(sym) + 1
+		if m.trackFirstSym && m.PerEdgeMsgs[e] == 1 {
+			m.firstKey[e] = m.interner.KeyOf(sym)
 		}
 	}
 }
@@ -175,26 +217,29 @@ func (m *Metrics) delivered() { m.curInFlight-- }
 
 // finalize materializes the measurement-boundary views — the string-keyed
 // Alphabet and FirstSymbol maps — from the interned per-symbol slices. It
-// runs once per run (the engines defer it), so Message.Key is evaluated at
-// most once per distinct symbol, never per delivery. The resulting maps are
-// byte-identical to the ones the pre-interning engines built inline.
+// runs once per run (Kernel.Close), so Message.Key is evaluated at most once
+// per distinct symbol, never per delivery.
 func (m *Metrics) finalize() {
-	if m.interner == nil {
-		return
-	}
 	if m.trackAlphabet {
-		m.Alphabet = make(map[string]int, len(m.symCounts))
-		for s, c := range m.symCounts {
-			m.Alphabet[m.interner.KeyOf(protocol.Symbol(s))] = c
-		}
+		m.addAlphabet(m)
 	}
 	if m.trackFirstSym {
 		m.FirstSymbol = make(map[graph.EdgeID]string)
-		for e, s := range m.firstSym {
-			if s != 0 {
-				m.FirstSymbol[graph.EdgeID(e)] = m.interner.KeyOf(protocol.Symbol(s - 1))
+		for e, key := range m.firstKey {
+			if m.PerEdgeMsgs[e] > 0 {
+				m.FirstSymbol[graph.EdgeID(e)] = key
 			}
 		}
+	}
+}
+
+// addAlphabet adds p's per-symbol counts to m.Alphabet, keyed by symbol.
+func (m *Metrics) addAlphabet(p *Metrics) {
+	if m.Alphabet == nil {
+		m.Alphabet = make(map[string]int, len(p.symCounts))
+	}
+	for s, c := range p.symCounts {
+		m.Alphabet[p.interner.KeyOf(protocol.Symbol(s))] += c
 	}
 }
 
@@ -220,7 +265,7 @@ type Result struct {
 	// asynchronous engines leave it 0 — time is undefined for them).
 	Rounds int
 	// Dropped counts messages discarded by the run's fault plan
-	// (Options.DropFirst / Options.Faults): sends dropped at the link plus
+	// (Options.Faults): sends dropped at the link plus
 	// deliveries consumed unprocessed by crashed vertices. Always 0 on a
 	// fault-free run.
 	Dropped int
@@ -353,12 +398,6 @@ type Options struct {
 	// steal-on/steal-off schedule-equivalence tests assert it); the switch
 	// exists for those tests and for profiling.
 	NoWorkSteal bool
-	// DropFirst is the legacy fault-injection shorthand, honored by every
-	// engine (sequential, concurrent, synchronous, TCP, sharded):
-	// DropFirst[e] = k silently discards the first k messages sent on edge
-	// e (they are metered as sent, never delivered). It is merged into the
-	// full fault plan; new code should set Faults directly.
-	DropFirst map[graph.EdgeID]int
 	// Faults is the full deterministic fault plan — per-edge first-k drops,
 	// seeded Bernoulli loss, vertex crash-stops — applied by every engine;
 	// see the Faults type. The paper's model has reliable links; faults

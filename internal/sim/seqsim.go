@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/msgq"
 	"repro/internal/obs"
@@ -17,57 +15,23 @@ import (
 // (links are FIFO). The run ends when the terminal's stopping predicate
 // holds (Terminated) or no events remain (Quiescent).
 //
-// The engine maintains one pooled chunked FIFO per edge and hands the
-// scheduler an indexed view of the pending-edge set, so a delivery step
-// costs O(1) or O(log |pending|) depending on the adversary — never a
-// linear scan. On top of that, forced choices are batched: when the
-// adversary's next pick is provably the edge just delivered on (the
-// scheduler is otherwise empty, or a stack scheduler saw no new
-// registrations), the engine drains the run of messages without a Push/Pop
-// round-trip per delivery. Batching engages only for schedulers that
-// declare it safe (BatchCapable) and never changes the delivery sequence —
-// batch_test.go asserts byte-identical schedules with it on and off.
+// The schedule is one Local — indexed pending-edge set, pooled per-edge
+// queues, forced-choice batch draining — over the whole graph, so a run
+// here is exactly the sharded engine's run at one shard.
 func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
-	nV, nE := g.NumVertices(), g.NumEdges()
-	nodes := make([]protocol.Node, nV)
-	var term protocol.Terminal
-	for v := 0; v < nV; v++ {
-		role := protocol.RoleInternal
-		switch graph.VertexID(v) {
-		case g.Root():
-			role = protocol.RoleRoot
-		case g.Terminal():
-			role = protocol.RoleTerminal
-		}
-		n := p.NewNode(g.InDegree(graph.VertexID(v)), g.OutDegree(graph.VertexID(v)), role)
-		if role == protocol.RoleTerminal {
-			t, ok := n.(protocol.Terminal)
-			if !ok {
-				return nil, fmt.Errorf("sim: protocol %q terminal node does not implement Terminal", p.Name())
-			}
-			term = t
-		}
-		nodes[v] = n
+	k, err := NewKernel(g, p, &opts)
+	if err != nil {
+		return nil, err
 	}
-
-	res := &Result{
-		Visited: make([]bool, nV),
-		Nodes:   nodes,
-		Metrics: newMetrics(nE, &opts),
-	}
-	defer res.Metrics.finalize()
-	res.Visited[g.Root()] = true
-
 	sched := opts.Scheduler
 	if sched == nil {
 		sched = schedulerForOrder(opts.Order)
 	}
 
 	// Telemetry: one track (this engine is the one-shard schedule), hooked
-	// at the same loop positions as a shard's drain so the timeline of a
-	// run here is byte-identical to the sharded engine's at one shard. The
-	// whole run is a single superstep; recording it is deferred so error
-	// exits keep their partial row. All hooks are nil-receiver no-ops when
+	// at the same positions as a shard's drain, so the timeline of a run
+	// here is byte-identical to the sharded engine's at one shard. The whole
+	// run is a single superstep. All hooks are nil-receiver no-ops when
 	// telemetry is off.
 	var tr *obs.Track
 	if opts.Obs != nil {
@@ -75,182 +39,30 @@ func Run(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
 		tr = opts.Obs.Tracks(1)[0]
 		stop := opts.Obs.StartPhase("deliver")
 		defer stop()
-		defer func() { opts.Obs.Superstep([]int64{int64(res.Steps)}) }()
 	}
 
-	sched.Reset(SchedContext{
-		Graph:   g,
-		Seed:    opts.Seed,
-		Visited: func(v graph.VertexID) bool { return res.Visited[v] },
-	})
-
-	// Forced-choice batch plan: engages only for schedulers that declare the
-	// required capability, and only when the options don't disable it.
-	var (
-		batchOn bool
-		caps    BatchCaps
-		defPush DeferredPusher
-	)
-	if !opts.NoBatchDrain {
-		if bc, ok := sched.(BatchCapable); ok {
-			caps = bc.BatchCaps()
-			defPush, _ = sched.(DeferredPusher)
-			batchOn = caps.PushOrderFree || defPush != nil
-		}
-	}
-
-	// Per-edge FIFO queues over pooled chunks. An edge is registered with
-	// the scheduler exactly when its front message is deliverable.
+	sched.Reset(SchedContext{Graph: g, Seed: opts.Seed, Visited: k.Visited})
 	msgq.Warm()
-	queues := make([]msgq.Queue, nE)
+	queues := make([]msgq.Queue, g.NumEdges())
 	defer func() {
 		for e := range queues {
 			queues[e].Release()
 		}
 	}()
-	var sendSeq uint64 // global send-sequence number, drives HeadSeq
-	var newPushes int  // scheduler registrations since the last delivery began
-	faults, err := NewFaultState(g, &opts)
-	if err != nil {
+	loc := NewLocal(sched, queues, opts.NoBatchDrain)
+	lane := k.Lane(tr, loc)
+	if err := k.Inject(lane); err != nil {
 		return nil, err
 	}
-	defer func() { res.Dropped, res.Churn = faults.Dropped(), faults.ChurnReport() }()
-	push := func(e graph.EdgeID, msg protocol.Message) {
-		tr.Send()
-		if faults.DropSend(e) {
-			tr.Dropped()
-			return
-		}
-		res.Metrics.sent()
-		tr.Enqueued()
-		seq := sendSeq
-		sendSeq++
-		queues[e].Push(msg, seq)
-		if queues[e].Len() == 1 {
-			sched.Push(PendingEdge{Edge: e, HeadSeq: seq})
-			newPushes++
-		}
+	done, err := loc.Drain(lane, k.MaxSteps())
+	opts.Obs.Superstep([]int64{int64(lane.Steps)})
+	switch {
+	case err != nil:
+		return k.Close(0), err
+	case done:
+		return k.Close(Terminated), nil
+	case sched.Len() > 0:
+		return k.Close(0), k.Admit(lane.Steps)
 	}
-
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
-
-	// Inject sigma0 on the root's out-edges.
-	inits, err := InitialMessages(g, p)
-	if err != nil {
-		return nil, err
-	}
-	for j, init := range inits {
-		if init == nil {
-			continue
-		}
-		rootEdge := g.OutEdge(g.Root(), j)
-		res.Metrics.record(rootEdge.ID, init)
-		if opts.Observer != nil {
-			opts.Observer.OnSend(rootEdge.ID, init)
-		}
-		push(rootEdge.ID, init)
-	}
-
-	for sched.Len() > 0 {
-		// Adversary: choose the next pending edge; deliver its oldest
-		// message (links are FIFO). The inner loop batch-drains forced
-		// follow-up choices on the same edge.
-		e := sched.Pop()
-		tr.Popped()
-		forced := false
-		for {
-			if res.Steps >= maxSteps {
-				return res, fmt.Errorf("%w (%d steps, graph %s, protocol %s)", ErrStepLimit, res.Steps, g, p.Name())
-			}
-			res.Steps++
-			if forced {
-				res.ForcedSteps++
-			}
-
-			msg := queues[e].Pop()
-			res.Metrics.delivered()
-			pendingHere := queues[e].Len() > 0
-			if pendingHere && !batchOn {
-				// Legacy ordering: re-register before processing the
-				// delivery, as insertion-order-sensitive schedulers
-				// (random, rr-vertex, replay scripts) require.
-				sched.Push(PendingEdge{Edge: e, HeadSeq: queues[e].FrontSeq()})
-			}
-			newPushes = 0
-
-			edge := g.Edge(e)
-			if faults.CrashDelivery(edge.To) {
-				// Crash-stopped vertex: the message is consumed off the link
-				// (the delivery stays in the schedule, so recorded traces
-				// replay) but never processed — no state change, no outputs,
-				// and the vertex does not count as reached.
-				if opts.Observer != nil {
-					opts.Observer.OnDeliver(res.Steps, e, msg)
-				}
-				tr.Delivered(forced, true)
-			} else {
-				res.Visited[edge.To] = true
-				if opts.Observer != nil {
-					opts.Observer.OnDeliver(res.Steps, e, msg)
-				}
-				outs, err := nodes[edge.To].Receive(msg, edge.ToPort)
-				if err != nil {
-					return res, fmt.Errorf("sim: vertex %d receive: %w", edge.To, err)
-				}
-				if outs != nil && len(outs) != g.OutDegree(edge.To) {
-					return res, fmt.Errorf("sim: vertex %d returned %d outputs, out-degree is %d",
-						edge.To, len(outs), g.OutDegree(edge.To))
-				}
-				outIDs := g.OutEdgeIDs(edge.To)
-				for j, out := range outs {
-					if out == nil {
-						continue
-					}
-					oe := outIDs[j]
-					res.Metrics.record(oe, out)
-					if opts.Observer != nil {
-						opts.Observer.OnSend(oe, out)
-					}
-					push(oe, out)
-				}
-				tr.Delivered(forced, false)
-				if edge.To == g.Terminal() && term.Done() {
-					res.Verdict = Terminated
-					res.Output = term.Output()
-					return res, nil
-				}
-			}
-
-			if !pendingHere || !batchOn {
-				break
-			}
-			// Forced-choice decision: e still holds messages and was not
-			// re-registered. If the adversary provably must pick e next,
-			// keep draining without a Push/Pop round-trip.
-			if sched.Len() == 0 {
-				// e is the only pending edge anywhere: every scheduler's
-				// next Pop would return it.
-				forced = true
-				continue
-			}
-			if caps.ForcedWhenQuiet && newPushes == 0 {
-				// Stack semantics with no registrations since our Pop:
-				// re-pushing e would top the scheduler.
-				forced = true
-				continue
-			}
-			pe := PendingEdge{Edge: e, HeadSeq: queues[e].FrontSeq()}
-			if caps.PushOrderFree {
-				sched.Push(pe)
-			} else {
-				defPush.PushDeferred(pe, newPushes)
-			}
-			break
-		}
-	}
-	res.Verdict = Quiescent
-	return res, nil
+	return k.Close(Quiescent), nil
 }

@@ -8,13 +8,13 @@
 //
 // Execution proceeds in supersteps:
 //
-//  1. Drain (parallel): every shard runs the same indexed, batch-draining
-//     delivery loop as the sequential engine over the edges it owns (an
-//     edge belongs to the shard of its head vertex). Sends to in-shard
-//     edges are delivered locally; sends on cut edges are buffered in a
-//     per-(source, destination) outbox. Shards share no mutable state
-//     except arrays indexed by edge or vertex, each slot of which has
-//     exactly one owning shard.
+//  1. Drain (parallel): every shard runs the sequential engine's schedule —
+//     a sim.Local, delivering on its own kernel lane — over the edges it
+//     owns (an edge belongs to the shard of its head vertex). The shard's
+//     transport delivers sends to in-shard edges locally and buffers sends
+//     on cut edges in a per-(source, destination) outbox. Shards share no
+//     mutable state except arrays indexed by edge or vertex, each slot of
+//     which has exactly one owning shard.
 //  2. Barrier + merge (parallel per destination): each destination shard
 //     ingests the outboxes addressed to it in deterministic order — source
 //     shard ID first, then the source's local send order — assigning local
@@ -106,43 +106,16 @@ func (e *engine) Run(g *graph.G, p protocol.Protocol, opts sim.Options) (*sim.Re
 	return run(g, p, opts, e.shards, e.partition)
 }
 
-// outMsg is one cross-shard send awaiting the merge.
-type outMsg struct {
-	edge graph.EdgeID
-	msg  protocol.Message
-}
-
-// shardState is the per-shard mutable world: scheduler, send sequencing,
-// outboxes, and metric partials. Only its owning worker touches it during a
+// shardState is one shard: its Local schedule (scheduler, send sequencing,
+// batch plan) over the edges whose heads it owns, the lane its deliveries
+// run on, and its outboxes. Only its owning worker touches it during a
 // drain; only the coordinator touches it at barriers.
 type shardState struct {
-	id    int
-	sched sim.Scheduler
-
-	// tr is this shard's telemetry track (nil when telemetry is off — all
-	// Track methods are nil-receiver no-ops). Only the owning worker calls
-	// into it during a drain; the merge, which also enqueues into this
-	// shard, runs under the barrier with exclusive ownership.
-	tr *obs.Track
-
-	// Batch plan (mirrors the sequential engine's forced-choice drain).
-	batchOn bool
-	caps    sim.BatchCaps
-	defPush sim.DeferredPusher
-
-	sendSeq uint64
-	out     [][]outMsg // per destination shard
-
-	// Metric partials, merged deterministically at the end of the run.
-	messages   int
-	totalBits  int64
-	maxMsgBits int
-	interner   *protocol.Interner
-	symCounts  []int
-	aliveSent  int // sends that passed the drop filter (in-flight accounting)
-	delivered  int
-	steps      int
-	forced     int
+	id   int
+	run  *shardRun
+	loc  *sim.Local
+	lane *sim.Lane
+	out  [][]sim.Flight // per destination shard
 
 	terminated bool
 	err        error
@@ -157,14 +130,9 @@ type shardState struct {
 type shardRun struct {
 	g      *graph.G
 	part   *graph.Partition
+	k      *sim.Kernel
 	states []*shardState
-	nodes  []protocol.Node
-	term   protocol.Terminal
-	obs    *sim.SerializedObserver
-
-	queues  []msgq.Queue
-	visited []bool
-	faults  *sim.FaultState
+	queues []msgq.Queue
 
 	// owner[v] is the shard currently delivering to vertex v. It starts as a
 	// copy of part.Of and is rewritten only at barriers, by work donation —
@@ -172,6 +140,10 @@ type shardRun struct {
 	// node state, visited slot, crash quota, in-queues) still has exactly one
 	// owning shard.
 	owner []int
+
+	// injecting is set while sigma0 is sent: the root's sends then land
+	// straight in their head shards' queues, ahead of the first superstep.
+	injecting bool
 
 	// Ghost routing (nil under Options.NoGhosts or when the partition marked
 	// no ghost edges): ghostBuf[e] is the sender-side buffer of ghost edge e,
@@ -185,24 +157,13 @@ type shardRun struct {
 	ghostInto [][]graph.EdgeID
 	ghostHead []bool
 
-	perEdgeBits   []int64
-	perEdgeMsgs   []int
-	firstSym      []uint32 // per-edge symbol+1 in the recording shard's interner
-	firstSymShard []int32  // which shard's interner firstSym[e] refers to
-
-	trackAlphabet bool
-	trackFirstSym bool
-	noBatch       bool
-	noSteal       bool
-
+	noSteal     bool
 	steals      int
 	stolenEdges int
 }
 
 func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 	partition func(*graph.G, int, int64) *graph.Partition) (*sim.Result, error) {
-	nV, nE := g.NumVertices(), g.NumEdges()
-
 	// The scheduler option names the adversary family; every shard gets its
 	// own instance so the per-shard loops can run concurrently.
 	schedName := sim.Order(opts.Order).String()
@@ -210,58 +171,29 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		schedName = opts.Scheduler.Name()
 	}
 
-	nodes := make([]protocol.Node, nV)
-	var term protocol.Terminal
-	for v := 0; v < nV; v++ {
-		role := protocol.RoleInternal
-		switch graph.VertexID(v) {
-		case g.Root():
-			role = protocol.RoleRoot
-		case g.Terminal():
-			role = protocol.RoleTerminal
-		}
-		n := p.NewNode(g.InDegree(graph.VertexID(v)), g.OutDegree(graph.VertexID(v)), role)
-		if role == protocol.RoleTerminal {
-			t, ok := n.(protocol.Terminal)
-			if !ok {
-				return nil, fmt.Errorf("shard: protocol %q terminal node does not implement Terminal", p.Name())
-			}
-			term = t
-		}
-		nodes[v] = n
-	}
-
-	faults, err := sim.NewFaultState(g, &opts)
+	k, err := sim.NewKernel(g, p, &opts)
 	if err != nil {
 		return nil, err
 	}
+	ser := k.Serialize()
 	rec := opts.Obs
 	partStop := obsStart(rec, "partition")
 	part := partition(g, shards, opts.Seed)
 	partStop()
 	run := &shardRun{
-		g:             g,
-		part:          part,
-		states:        make([]*shardState, part.K),
-		nodes:         nodes,
-		term:          term,
-		obs:           sim.NewSerializedObserver(opts.Observer),
-		queues:        make([]msgq.Queue, nE),
-		visited:       make([]bool, nV),
-		faults:        faults,
-		owner:         make([]int, nV),
-		perEdgeBits:   make([]int64, nE),
-		perEdgeMsgs:   make([]int, nE),
-		trackAlphabet: opts.TrackAlphabet,
-		trackFirstSym: opts.TrackFirstSymbol,
-		noBatch:       opts.NoBatchDrain,
-		noSteal:       opts.NoWorkSteal || part.K == 1,
+		g:       g,
+		part:    part,
+		k:       k,
+		states:  make([]*shardState, part.K),
+		queues:  make([]msgq.Queue, g.NumEdges()),
+		owner:   make([]int, g.NumVertices()),
+		noSteal: opts.NoWorkSteal || part.K == 1,
 	}
 	copy(run.owner, part.Of)
 	if !opts.NoGhosts && part.GhostEdges > 0 {
-		run.ghostBuf = make([][]protocol.Message, nE)
+		run.ghostBuf = make([][]protocol.Message, g.NumEdges())
 		run.ghostInto = make([][]graph.EdgeID, part.K)
-		run.ghostHead = make([]bool, nV)
+		run.ghostHead = make([]bool, g.NumVertices())
 		// Reconciliation order per destination: source shards in ID order,
 		// edges in ID order within a source — fixed at run start (ghost heads
 		// never migrate), so the merge barrier ingests ghost traffic in the
@@ -281,15 +213,11 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 			run.queues[e].Release()
 		}
 	}()
-	if run.trackFirstSym {
-		run.firstSym = make([]uint32, nE)
-		run.firstSymShard = make([]int32, nE)
-	}
 	// Telemetry: one track per shard, each sampled on the shard's own local
 	// delivery count — a pure function of the deterministic shard schedule,
 	// never of thread timing. At one shard the schedule (and therefore the
 	// timeline) is byte-identical to the sequential engine's.
-	var tracks []*obs.Track
+	tracks := make([]*obs.Track, part.K)
 	if rec != nil {
 		rec.Configure(p.Name(), schedName, opts.Seed, part.K)
 		tracks = rec.Tracks(part.K)
@@ -299,80 +227,29 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		if err != nil {
 			return nil, fmt.Errorf("shard: cannot instantiate per-shard schedulers: %w", err)
 		}
-		st := &shardState{id: s, sched: sched, out: make([][]outMsg, part.K)}
-		if tracks != nil {
-			st.tr = tracks[s]
-		}
 		// Per-shard seeds are decorrelated so seeded adversaries (random,
 		// latency, ...) don't mirror each other across shards; the mix is a
 		// fixed function of (run seed, shard ID), keeping the whole run
 		// deterministic.
 		shardSeed := opts.Seed ^ int64(uint64(s)*0x9e3779b97f4a7c15)
-		sched.Reset(sim.SchedContext{
-			Graph:   g,
-			Seed:    shardSeed,
-			Visited: func(v graph.VertexID) bool { return run.visited[v] },
-		})
-		if !run.noBatch {
-			if bc, ok := sched.(sim.BatchCapable); ok {
-				st.caps = bc.BatchCaps()
-				st.defPush, _ = sched.(sim.DeferredPusher)
-				st.batchOn = st.caps.PushOrderFree || st.defPush != nil
-			}
-		}
-		if run.trackAlphabet || run.trackFirstSym {
-			st.interner = protocol.NewInterner()
-		}
+		sched.Reset(sim.SchedContext{Graph: g, Seed: shardSeed, Visited: k.Visited})
+		st := &shardState{id: s, run: run, out: make([][]sim.Flight, part.K)}
+		st.loc = sim.NewLocal(sched, run.queues, opts.NoBatchDrain)
+		st.lane = k.Partial(tracks[s], st)
 		run.states[s] = st
 	}
 
-	res := &sim.Result{
-		Visited: run.visited,
-		Nodes:   nodes,
-	}
-	run.visited[g.Root()] = true
-
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = sim.DefaultMaxSteps
-	}
-
 	// Inject sigma0 on the root's out-edges (coordinator, pre-parallel).
-	inits, err := sim.InitialMessages(g, p)
-	if err != nil {
+	run.injecting = true
+	if err := k.Inject(run.states[part.Of[g.Root()]].lane); err != nil {
 		return nil, err
 	}
-	rootShard := run.states[part.Of[g.Root()]]
-	for j, init := range inits {
-		if init == nil {
-			continue
-		}
-		rootEdge := g.OutEdge(g.Root(), j)
-		rootShard.record(run, rootEdge.ID, init)
-		if run.obs != nil {
-			run.obs.OnSend(rootEdge.ID, init)
-		}
-		rootShard.tr.Send()
-		if run.faults.DropSend(rootEdge.ID) {
-			rootShard.tr.Dropped()
-			continue
-		}
-		rootShard.aliveSent++
-		dst := run.states[run.owner[rootEdge.To]]
-		seq := dst.sendSeq
-		dst.sendSeq++
-		run.queues[rootEdge.ID].Push(init, seq)
-		dst.tr.Enqueued()
-		if run.queues[rootEdge.ID].Len() == 1 {
-			dst.sched.Push(sim.PendingEdge{Edge: rootEdge.ID, HeadSeq: seq})
-		}
-	}
+	run.injecting = false
 
 	peak := run.inFlight()
-	if run.obs != nil {
-		run.obs.OnBarrier(0)
+	if ser != nil {
+		ser.OnBarrier(0)
 	}
-	totalSteps := 0
 	superstep := 0
 	prevSteps := make([]int64, part.K)
 	for {
@@ -383,53 +260,44 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 		// overshoot MaxSteps by at most K-1 deliveries (the sequential
 		// engine overshoots by 0); crossing the limit surfaces as
 		// ErrStepLimit below.
-		budget := (maxSteps - totalSteps + part.K - 1) / part.K
+		budget := (k.MaxSteps() - run.steps() + part.K - 1) / part.K
 		drainStop := obsStart(rec, "drain")
-		par.Map(0, part.K, func(s int) { run.states[s].drain(run, budget) })
+		par.Map(0, part.K, func(s int) {
+			st := run.states[s]
+			st.terminated, st.err = st.loc.Drain(st.lane, budget)
+		})
 		drainStop()
 
-		totalSteps = 0
-		forced := 0
-		for _, st := range run.states {
-			totalSteps += st.steps
-			forced += st.forced
-		}
-		res.Steps = totalSteps
-		res.ForcedSteps = forced
 		if f := run.inFlight(); f > peak {
 			peak = f
 		}
-		if run.obs != nil {
+		if ser != nil {
 			// The barrier event marks the exact point the global in-flight
 			// count was just sampled, so a BarrierObserver can reconstruct
 			// PeakInFlight from the event stream (sends minus deliveries).
-			run.obs.OnBarrier(superstep)
+			ser.OnBarrier(superstep)
 		}
 		if rec != nil {
 			// Superstep occupancy: per-shard delivery deltas, recorded before
 			// the error/termination exits so the final superstep keeps its row.
 			row := make([]int64, part.K)
 			for s, st := range run.states {
-				row[s] = int64(st.steps) - prevSteps[s]
-				prevSteps[s] = int64(st.steps)
+				row[s] = int64(st.lane.Steps) - prevSteps[s]
+				prevSteps[s] = int64(st.lane.Steps)
 			}
 			rec.Superstep(row)
 		}
 
 		for _, st := range run.states {
 			if st.err != nil {
-				run.obs.Seal()
-				run.finalize(res, peak)
-				return res, st.err
+				ser.Seal()
+				return run.close(0, peak), st.err
 			}
 		}
 		for _, st := range run.states {
 			if st.terminated {
-				run.obs.Seal()
-				res.Verdict = sim.Terminated
-				res.Output = term.Output()
-				run.finalize(res, peak)
-				return res, nil
+				ser.Seal()
+				return run.close(sim.Terminated, peak), nil
 			}
 		}
 
@@ -450,18 +318,15 @@ func run(g *graph.G, p protocol.Protocol, opts sim.Options, shards int,
 
 		pending := 0
 		for _, st := range run.states {
-			pending += st.sched.Len()
+			pending += st.loc.Sched.Len()
 		}
 		if pending == 0 {
-			run.obs.Seal()
-			res.Verdict = sim.Quiescent
-			run.finalize(res, peak)
-			return res, nil
+			ser.Seal()
+			return run.close(sim.Quiescent, peak), nil
 		}
-		if totalSteps >= maxSteps {
-			run.obs.Seal()
-			run.finalize(res, peak)
-			return res, fmt.Errorf("%w (%d steps, graph %s, protocol %s)", sim.ErrStepLimit, totalSteps, g, p.Name())
+		if err := k.Admit(run.steps()); err != nil {
+			ser.Seal()
+			return run.close(0, peak), err
 		}
 	}
 }
@@ -475,165 +340,28 @@ func obsStart(rec *obs.Recorder, name string) func() {
 	return rec.StartPhase(name)
 }
 
-// record meters one send: shared per-edge slots are owned by this shard (the
-// edge's tail lives here), scalars and the interner are shard-local.
-func (st *shardState) record(run *shardRun, e graph.EdgeID, msg protocol.Message) {
-	bits := msg.Bits()
-	st.messages++
-	st.totalBits += int64(bits)
-	run.perEdgeBits[e] += int64(bits)
-	run.perEdgeMsgs[e]++
-	if bits > st.maxMsgBits {
-		st.maxMsgBits = bits
+// Carry is a shard's transport. Sends to an edge whose head this shard owns
+// are delivered locally; sends on cut edges go to the head shard's outbox,
+// or to the edge's ghost buffer when the partition routes it through a
+// ghost, and are counted by the head shard when its merge ingests them.
+func (st *shardState) Carry(e graph.EdgeID, msg protocol.Message) bool {
+	run := st.run
+	dst := run.owner[run.g.Edge(e).To]
+	switch {
+	case dst == st.id:
+		return st.loc.Carry(e, msg)
+	case run.injecting:
+		d := run.states[dst]
+		d.loc.Carry(e, msg)
+		d.lane.Track().Enqueued()
+	case run.ghostBuf != nil && run.part.GhostEdge(e):
+		// Ghost-routed cut edge: a plain append to the sender-local buffer,
+		// which the head's shard reconciles whole at the merge barrier.
+		run.ghostBuf[e] = append(run.ghostBuf[e], msg)
+	default:
+		st.out[dst] = append(st.out[dst], sim.Flight{Edge: e, Msg: msg})
 	}
-	if st.interner != nil {
-		sym := st.interner.Intern(msg)
-		if run.trackAlphabet {
-			if int(sym) == len(st.symCounts) {
-				st.symCounts = append(st.symCounts, 0)
-			}
-			st.symCounts[sym]++
-		}
-		if run.trackFirstSym && run.firstSym[e] == 0 {
-			// The recording shard is whoever owns the tail *now* — under work
-			// donation that can differ from the static part.Of[From], so the
-			// interner to resolve the symbol against is remembered alongside.
-			run.firstSym[e] = uint32(sym) + 1
-			run.firstSymShard[e] = int32(st.id)
-		}
-	}
-}
-
-// drain is one shard's superstep: the sequential engine's indexed,
-// forced-choice-batching delivery loop restricted to the edges this shard
-// owns, with cut-edge sends diverted to the outboxes.
-func (st *shardState) drain(run *shardRun, budget int) {
-	sched := st.sched
-	n := 0
-	for sched.Len() > 0 {
-		if n >= budget {
-			st.steps += n
-			return
-		}
-		e := sched.Pop()
-		st.tr.Popped()
-		forced := false
-		for {
-			if n >= budget {
-				// Put the in-hand edge back so its traffic survives into
-				// the next superstep (the run will surface ErrStepLimit).
-				sched.Push(sim.PendingEdge{Edge: e, HeadSeq: run.queues[e].FrontSeq()})
-				st.steps += n
-				return
-			}
-			n++
-			if forced {
-				st.forced++
-			}
-
-			msg := run.queues[e].Pop()
-			st.delivered++
-			pendingHere := run.queues[e].Len() > 0
-			if pendingHere && !st.batchOn {
-				sched.Push(sim.PendingEdge{Edge: e, HeadSeq: run.queues[e].FrontSeq()})
-			}
-			newPushes := 0
-
-			edge := run.g.Edge(e)
-			if run.faults.CrashDelivery(edge.To) {
-				// Crash-stopped vertex: consume without processing. The crash
-				// quota slot is owned by this shard (edge.To's owner — the
-				// only shard that delivers to it), so the check is race-free.
-				if run.obs != nil {
-					run.obs.OnDeliver(0, e, msg)
-				}
-				st.tr.Delivered(forced, true)
-			} else {
-				run.visited[edge.To] = true
-				if run.obs != nil {
-					run.obs.OnDeliver(0, e, msg)
-				}
-				outs, err := run.nodes[edge.To].Receive(msg, edge.ToPort)
-				if err != nil {
-					st.err = fmt.Errorf("shard: vertex %d receive: %w", edge.To, err)
-					st.steps += n
-					return
-				}
-				if outs != nil && len(outs) != run.g.OutDegree(edge.To) {
-					st.err = fmt.Errorf("shard: vertex %d returned %d outputs, out-degree is %d",
-						edge.To, len(outs), run.g.OutDegree(edge.To))
-					st.steps += n
-					return
-				}
-				outIDs := run.g.OutEdgeIDs(edge.To)
-				for j, out := range outs {
-					if out == nil {
-						continue
-					}
-					oe := outIDs[j]
-					st.record(run, oe, out)
-					if run.obs != nil {
-						run.obs.OnSend(oe, out)
-					}
-					st.tr.Send()
-					if run.faults.DropSend(oe) {
-						st.tr.Dropped()
-						continue
-					}
-					st.aliveSent++
-					dst := run.owner[run.g.Edge(oe).To]
-					if dst == st.id {
-						seq := st.sendSeq
-						st.sendSeq++
-						run.queues[oe].Push(out, seq)
-						st.tr.Enqueued()
-						if run.queues[oe].Len() == 1 {
-							sched.Push(sim.PendingEdge{Edge: oe, HeadSeq: seq})
-							newPushes++
-						}
-					} else if run.ghostBuf != nil && run.part.GhostEdge(oe) {
-						// Ghost-routed cut edge: deliver into the local ghost
-						// buffer — a plain append, no outbox entry — and let
-						// the head's shard reconcile the whole buffer at the
-						// merge barrier.
-						run.ghostBuf[oe] = append(run.ghostBuf[oe], out)
-					} else {
-						// Cut-edge send: the destination shard counts the
-						// enqueue when its merge ingests the outbox.
-						st.out[dst] = append(st.out[dst], outMsg{edge: oe, msg: out})
-					}
-				}
-				st.tr.Delivered(forced, false)
-				if edge.To == run.g.Terminal() && run.term.Done() {
-					st.terminated = true
-					st.steps += n
-					return
-				}
-			}
-
-			if !pendingHere || !st.batchOn {
-				break
-			}
-			// Forced-choice decision, exactly as in the sequential engine:
-			// e still holds messages and was not re-registered.
-			if sched.Len() == 0 {
-				forced = true
-				continue
-			}
-			if st.caps.ForcedWhenQuiet && newPushes == 0 {
-				forced = true
-				continue
-			}
-			pe := sim.PendingEdge{Edge: e, HeadSeq: run.queues[e].FrontSeq()}
-			if st.caps.PushOrderFree {
-				sched.Push(pe)
-			} else {
-				st.defPush.PushDeferred(pe, newPushes)
-			}
-			break
-		}
-	}
-	st.steps += n
+	return false
 }
 
 // mergeInto ingests all outboxes addressed to dst, source shards in ID
@@ -645,15 +373,11 @@ func (st *shardState) drain(run *shardRun, budget int) {
 // registration instead of a merge entry per message.
 func (run *shardRun) mergeInto(dst int) {
 	st := run.states[dst]
+	tr := st.lane.Track()
 	for _, src := range run.states {
-		for _, m := range src.out[dst] {
-			seq := st.sendSeq
-			st.sendSeq++
-			run.queues[m.edge].Push(m.msg, seq)
-			st.tr.Enqueued()
-			if run.queues[m.edge].Len() == 1 {
-				st.sched.Push(sim.PendingEdge{Edge: m.edge, HeadSeq: seq})
-			}
+		for _, f := range src.out[dst] {
+			st.loc.Carry(f.Edge, f.Msg)
+			tr.Enqueued()
 		}
 	}
 	if run.ghostBuf == nil {
@@ -661,23 +385,12 @@ func (run *shardRun) mergeInto(dst int) {
 	}
 	for _, e := range run.ghostInto[dst] {
 		buf := run.ghostBuf[e]
-		if len(buf) == 0 {
-			continue
+		for i, msg := range buf {
+			st.loc.Carry(e, msg)
+			tr.Enqueued()
+			buf[i] = nil // drop the payload pointer as it transfers
 		}
-		wasEmpty := run.queues[e].Len() == 0
-		first := st.sendSeq
-		for _, msg := range buf {
-			seq := st.sendSeq
-			st.sendSeq++
-			run.queues[e].Push(msg, seq)
-			st.tr.Enqueued()
-			buf[0] = nil // drop the payload pointer as it transfers
-			buf = buf[1:]
-		}
-		run.ghostBuf[e] = run.ghostBuf[e][:0]
-		if wasEmpty {
-			st.sched.Push(sim.PendingEdge{Edge: e, HeadSeq: first})
-		}
+		run.ghostBuf[e] = buf[:0]
 	}
 }
 
@@ -699,13 +412,13 @@ const stealMinGap = 8
 func (run *shardRun) steal() {
 	victim, thief := 0, 0
 	for s, st := range run.states {
-		if n := st.sched.Len(); n > run.states[victim].sched.Len() {
+		if n := st.loc.Sched.Len(); n > run.states[victim].loc.Sched.Len() {
 			victim = s
-		} else if n < run.states[thief].sched.Len() {
+		} else if n < run.states[thief].loc.Sched.Len() {
 			thief = s
 		}
 	}
-	gap := run.states[victim].sched.Len() - run.states[thief].sched.Len()
+	gap := run.states[victim].loc.Sched.Len() - run.states[thief].loc.Sched.Len()
 	if gap < stealMinGap {
 		return
 	}
@@ -715,10 +428,10 @@ func (run *shardRun) steal() {
 	// function of its deterministic state), then decide per head vertex:
 	// heads are donated in first-seen order until the target is reached, and
 	// every pending edge of a donated head moves with it.
-	vs, ts := run.states[victim], run.states[thief]
-	popped := make([]graph.EdgeID, 0, vs.sched.Len())
-	for vs.sched.Len() > 0 {
-		popped = append(popped, vs.sched.Pop())
+	vs, ts := run.states[victim].loc, run.states[thief].loc
+	popped := make([]graph.EdgeID, 0, vs.Sched.Len())
+	for vs.Sched.Len() > 0 {
+		popped = append(popped, vs.Sched.Pop())
 	}
 	donate := make(map[graph.VertexID]bool)
 	donated := 0
@@ -738,74 +451,48 @@ func (run *shardRun) steal() {
 	}
 	moved, movedMsgs := 0, 0
 	for _, e := range popped {
-		pe := sim.PendingEdge{Edge: e, HeadSeq: run.queues[e].FrontSeq()}
 		if donate[run.g.Edge(e).To] {
-			ts.sched.Push(pe)
+			ts.Sched.Push(vs.Pending(e))
 			moved++
 			movedMsgs += run.queues[e].Len()
 		} else {
-			vs.sched.Push(pe)
+			vs.Sched.Push(vs.Pending(e))
 		}
 	}
 	if moved == 0 {
 		return
 	}
-	vs.tr.Donate(movedMsgs)
-	ts.tr.Adopt(movedMsgs)
+	run.states[victim].lane.Track().Donate(movedMsgs)
+	run.states[thief].lane.Track().Adopt(movedMsgs)
 	run.steals++
 	run.stolenEdges += moved
 }
 
 // inFlight is the global in-flight message count, valid at barriers only.
 func (run *shardRun) inFlight() int {
-	sent, delivered := 0, 0
+	n := 0
 	for _, st := range run.states {
-		sent += st.aliveSent
-		delivered += st.delivered
+		n += st.lane.InFlight()
 	}
-	return sent - delivered
+	return n
 }
 
-// finalize merges the per-shard metric partials into the result, shards in
-// ID order — deterministic content, byte-identical across runs. PeakInFlight
-// is the barrier-sampled peak: within a superstep shards move concurrently,
-// so only barrier points have a well-defined (and deterministic) global
-// count.
-func (run *shardRun) finalize(res *sim.Result, peak int) {
-	m := &res.Metrics
-	m.PerEdgeBits = run.perEdgeBits
-	m.PerEdgeMsgs = run.perEdgeMsgs
-	m.PeakInFlight = peak
-	res.Dropped = run.faults.Dropped()
-	res.Churn = run.faults.ChurnReport()
+// steps is the number of deliveries made so far, valid at barriers only.
+func (run *shardRun) steps() int {
+	n := 0
+	for _, st := range run.states {
+		n += st.lane.Steps
+	}
+	return n
+}
+
+// close completes the result. PeakInFlight is the barrier-sampled peak:
+// within a superstep shards move concurrently, so only barrier points have a
+// well-defined (and deterministic) global count.
+func (run *shardRun) close(v sim.Verdict, peak int) *sim.Result {
+	res := run.k.Close(v)
+	res.Metrics.PeakInFlight = peak
 	res.Steals = run.steals
 	res.StolenEdges = run.stolenEdges
-	for _, st := range run.states {
-		m.Messages += st.messages
-		m.TotalBits += st.totalBits
-		if st.maxMsgBits > m.MaxMsgBits {
-			m.MaxMsgBits = st.maxMsgBits
-		}
-	}
-	if run.trackAlphabet {
-		m.Alphabet = make(map[string]int)
-		for _, st := range run.states {
-			for sym, count := range st.symCounts {
-				m.Alphabet[st.interner.KeyOf(protocol.Symbol(sym))] += count
-			}
-		}
-	}
-	if run.trackFirstSym {
-		m.FirstSymbol = make(map[graph.EdgeID]string)
-		for e, s := range run.firstSym {
-			if s == 0 {
-				continue
-			}
-			// The symbol ID is dense in the interner of the shard that
-			// recorded the send — under work donation not necessarily the
-			// tail's static shard, so record() remembered which.
-			rec := run.states[run.firstSymShard[e]]
-			m.FirstSymbol[graph.EdgeID(e)] = rec.interner.KeyOf(protocol.Symbol(s - 1))
-		}
-	}
+	return res
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -18,41 +16,10 @@ import (
 // engines: a synchronous schedule is one particular asynchronous schedule,
 // and the protocols' outcomes are schedule-independent. Tests assert this.
 func RunSynchronous(g *graph.G, p protocol.Protocol, opts Options) (*Result, error) {
-	nV, nE := g.NumVertices(), g.NumEdges()
-	nodes := make([]protocol.Node, nV)
-	var term protocol.Terminal
-	for v := 0; v < nV; v++ {
-		role := protocol.RoleInternal
-		switch graph.VertexID(v) {
-		case g.Root():
-			role = protocol.RoleRoot
-		case g.Terminal():
-			role = protocol.RoleTerminal
-		}
-		n := p.NewNode(g.InDegree(graph.VertexID(v)), g.OutDegree(graph.VertexID(v)), role)
-		if role == protocol.RoleTerminal {
-			t, ok := n.(protocol.Terminal)
-			if !ok {
-				return nil, fmt.Errorf("sim: protocol %q terminal node does not implement Terminal", p.Name())
-			}
-			term = t
-		}
-		nodes[v] = n
-	}
-
-	res := &Result{
-		Visited: make([]bool, nV),
-		Nodes:   nodes,
-		Metrics: newMetrics(nE, &opts),
-	}
-	defer res.Metrics.finalize()
-	res.Visited[g.Root()] = true
-
-	faults, err := NewFaultState(g, &opts)
+	k, err := NewKernel(g, p, &opts)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { res.Dropped, res.Churn = faults.Dropped(), faults.ChurnReport() }()
 
 	// Telemetry: one track; each global round is one superstep row, so the
 	// timeline charts queue growth round by round. "sync" matches the
@@ -65,105 +32,39 @@ func RunSynchronous(g *graph.G, p protocol.Protocol, opts Options) (*Result, err
 		defer stop()
 	}
 
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
-
-	type flight struct {
-		edge graph.EdgeID
-		msg  protocol.Message
-	}
-	inits, err := InitialMessages(g, p)
-	if err != nil {
+	var next rounds
+	lane := k.Lane(tr, &next)
+	if err := k.Inject(lane); err != nil {
 		return nil, err
 	}
-	var current []flight
-	for j, init := range inits {
-		if init == nil {
-			continue
-		}
-		rootEdge := g.OutEdge(g.Root(), j)
-		res.Metrics.record(rootEdge.ID, init)
-		if opts.Observer != nil {
-			opts.Observer.OnSend(rootEdge.ID, init)
-		}
-		tr.Send()
-		if faults.DropSend(rootEdge.ID) {
-			tr.Dropped()
-			continue
-		}
-		res.Metrics.sent()
-		tr.Enqueued()
-		current = append(current, flight{edge: rootEdge.ID, msg: init})
-	}
-
-	for len(current) > 0 {
+	res := k.Result()
+	for len(next) > 0 {
+		current := next
+		next = nil
 		res.Rounds++
-		roundStart := res.Steps
-		var next []flight
+		roundStart := lane.Steps
 		for _, f := range current {
-			if res.Steps >= maxSteps {
-				return res, fmt.Errorf("%w (%d steps, graph %s, protocol %s)", ErrStepLimit, res.Steps, g, p.Name())
+			if err := k.Admit(lane.Steps); err != nil {
+				return k.Close(0), err
 			}
-			res.Steps++
-			res.Metrics.delivered()
-			edge := g.Edge(f.edge)
-			if faults.CrashDelivery(edge.To) {
-				// Crash-stopped vertex: consume without processing (see the
-				// sequential engine's crash hook for the semantics).
-				if opts.Observer != nil {
-					opts.Observer.OnDeliver(res.Steps, f.edge, f.msg)
-				}
-				tr.Delivered(false, true)
-				continue
-			}
-			res.Visited[edge.To] = true
-			if opts.Observer != nil {
-				opts.Observer.OnDeliver(res.Steps, f.edge, f.msg)
-			}
-			outs, err := nodes[edge.To].Receive(f.msg, edge.ToPort)
+			done, err := lane.Deliver(f.Edge, f.Msg, false)
 			if err != nil {
-				return res, fmt.Errorf("sim: vertex %d receive: %w", edge.To, err)
+				return k.Close(0), err
 			}
-			if outs != nil && len(outs) != g.OutDegree(edge.To) {
-				return res, fmt.Errorf("sim: vertex %d returned %d outputs, out-degree is %d",
-					edge.To, len(outs), g.OutDegree(edge.To))
-			}
-			outIDs := g.OutEdgeIDs(edge.To)
-			for j, out := range outs {
-				if out == nil {
-					continue
-				}
-				oe := outIDs[j]
-				res.Metrics.record(oe, out)
-				if opts.Observer != nil {
-					opts.Observer.OnSend(oe, out)
-				}
-				tr.Send()
-				if faults.DropSend(oe) {
-					tr.Dropped()
-					continue
-				}
-				res.Metrics.sent()
-				tr.Enqueued()
-				next = append(next, flight{edge: oe, msg: out})
-			}
-			tr.Delivered(false, false)
-			if edge.To == g.Terminal() && term.Done() {
-				res.Verdict = Terminated
-				res.Output = term.Output()
-				if opts.Obs != nil {
-					opts.Obs.Superstep([]int64{int64(res.Steps - roundStart)})
-				}
-				return res, nil
+			if done {
+				opts.Obs.Superstep([]int64{int64(lane.Steps - roundStart)})
+				return k.Close(Terminated), nil
 			}
 		}
-		if opts.Obs != nil {
-			opts.Obs.Superstep([]int64{int64(res.Steps - roundStart)})
-		}
-		current = next
+		opts.Obs.Superstep([]int64{int64(lane.Steps - roundStart)})
 	}
-	res.Verdict = Quiescent
-	return res, nil
+	return k.Close(Quiescent), nil
+}
+
+// rounds is the synchronous engine's transport: the next round's deliveries.
+type rounds []Flight
+
+func (r *rounds) Carry(e graph.EdgeID, msg protocol.Message) bool {
+	*r = append(*r, Flight{Edge: e, Msg: msg})
+	return true
 }
