@@ -32,7 +32,7 @@ func RunConcurrent(g *graph.G, p protocol.Protocol, opts Options) (*Result, erro
 		stop := opts.Obs.StartPhase("run")
 		defer stop()
 	}
-	boxes := mailboxes{g: g, boxes: make([]*Mailbox, g.NumVertices())}
+	boxes := &mailboxes{g: g, boxes: make([]*Mailbox, g.NumVertices())}
 	lanes := make([]*Lane, g.NumVertices())
 	for v := range boxes.boxes {
 		boxes.boxes[v] = NewMailbox()
@@ -58,7 +58,7 @@ type mailboxes struct {
 	boxes []*Mailbox
 }
 
-func (m mailboxes) Carry(e graph.EdgeID, msg protocol.Message) bool {
+func (m *mailboxes) Carry(e graph.EdgeID, msg protocol.Message) bool {
 	m.boxes[m.g.Edge(e).To].Push(Flight{Edge: e, Msg: msg})
 	return true
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // Faults is a first-class, deterministic fault plan. The paper's model has
-// reliable links; this
-// adversary exists to check the safety half of the theorems under faults — a
-// lost message or a crashed vertex may cost liveness (the protocol hangs,
-// correctly refusing to terminate) but must never let the terminal declare
-// termination before everyone got the broadcast.
+// reliable links; this adversary exists to check the safety half of the
+// theorems under faults — a lost message or a crashed vertex may cost
+// liveness (the protocol hangs, correctly refusing to terminate) but must
+// never let the terminal declare termination before everyone got the
+// broadcast.
 //
 // All fault decisions are pure functions of per-edge send indices and
 // per-vertex delivery counts, never of wall-clock or scheduler state. The
@@ -181,9 +181,10 @@ type compiledLossStep struct {
 	fired atomic.Bool
 }
 
-// NewFaultState compiles opts' fault plan (Options.Faults) against g. It returns
-// (nil, nil) when no faults are configured and an error when the plan names
-// an edge or vertex g does not have, or carries an invalid rate or count.
+// NewFaultState compiles opts' fault plan (Options.Faults) against g. It
+// returns (nil, nil) when no faults are configured and an error when the plan
+// names an edge or vertex g does not have, or carries an invalid rate or
+// count.
 func NewFaultState(g *graph.G, opts *Options) (*FaultState, error) {
 	f := opts.Faults
 	if f.empty() {
